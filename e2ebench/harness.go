@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"selflearn/internal/ml/forest"
+	"selflearn/internal/scenario"
 	"selflearn/internal/serve"
 )
 
@@ -34,7 +35,7 @@ type patient struct {
 	rec    *recording
 	recIdx int
 	off    int
-	h      handle
+	h      scenario.PrefilterHandle
 	pf     *serve.PrefilterClient
 
 	next     int     // next generator second to push
@@ -233,8 +234,9 @@ func (r *runner) pushSecond(p *patient) int64 {
 	return t1
 }
 
-// record keeps a timed-phase frame for uplink pricing and the wire
-// replay; pushes are kept as the admitted stream instead.
+// record keeps a frame sent from the prefilter declarations on for
+// uplink pricing and the wire replay; pushes are kept as the admitted
+// stream instead.
 func (r *runner) record(p *patient, f frame) {
 	if r.timed {
 		p.frames = append(p.frames, f)
@@ -446,6 +448,7 @@ func (r *runner) armPrefilters() error {
 		if err := p.h.DeclarePrefilter(pf.Declared()); err != nil {
 			return err
 		}
+		r.record(p, frame{kind: frameDecl, sec: int32(p.next)})
 		p.pf = pf
 		p.armedAt = p.next
 	}
@@ -469,8 +472,9 @@ func (r *runner) reserve(unpaced, open time.Duration) {
 	r.ev.reserve(len(r.pats) * perAll / 2)
 }
 
-// uplinkFrames returns the patient's timed-phase frames: its pushes,
-// then its digests, audit samples and confirmations.
+// uplinkFrames returns the patient's frames from the prefilter
+// declarations on: its timed-phase pushes, then its declaration,
+// digests, audit samples and confirmations.
 func (p *patient) uplinkFrames() []frame {
 	out := make([]frame, 0, len(p.admitted)-p.timedFrom+len(p.frames))
 	for _, s := range p.admitted[p.timedFrom:] {
@@ -496,8 +500,7 @@ type phaseStats struct {
 	gcPause   time.Duration
 	rates     []float64 // windows/s per slice
 	cpuPer    []float64 // CPU µs per window per slice
-	uplink    uint64
-	seconds   uint64 // patient-seconds generated
+	seconds   uint64    // patient-seconds generated
 }
 
 func (r *runner) accounted() uint64 {
@@ -514,13 +517,13 @@ func (r *runner) generated() uint64 {
 }
 
 // unpacedSlices is how many equal slices the unpaced phase is cut into;
-// its rates are the median over the slices.
+// their rates are printed as quartiles beside the whole-phase rate.
 const unpacedSlices = 8
 
 // unpaced is the closed-loop capacity phase.
 func (r *runner) unpaced(d time.Duration) phaseStats {
 	var ps phaseStats
-	a0, g0, u0 := r.accounted(), r.generated(), r.sys.uplinkBytes()
+	a0, g0 := r.accounted(), r.generated()
 	m0 := readMem()
 	c0 := cpuTime()
 	t0 := time.Now()
@@ -552,7 +555,6 @@ func (r *runner) unpaced(d time.Duration) phaseStats {
 	ps.gcPause = time.Duration(m1.PauseTotalNs - m0.PauseTotalNs)
 	ps.accounted = r.accounted() - a0
 	ps.seconds = r.generated() - g0
-	ps.uplink = r.sys.uplinkBytes() - u0
 	r.settle()
 	return ps
 }
@@ -593,7 +595,7 @@ func (r *runner) openLoop(d time.Duration) openStats {
 		p.pushRet = p.pushRet[:0]
 	}
 	alarms0 := r.ev.alarmCount()
-	a0, g0, u0 := r.accounted(), r.generated(), r.sys.uplinkBytes()
+	a0, g0 := r.accounted(), r.generated()
 	w0, b0 := r.connCounts()
 	c0 := cpuTime()
 	m0 := readMem()
@@ -684,7 +686,6 @@ func (r *runner) openLoop(d time.Duration) openStats {
 	os.gcs = m1.NumGC - m0.NumGC
 	os.accounted = r.accounted() - a0
 	os.seconds = r.generated() - g0
-	os.uplink = r.sys.uplinkBytes() - u0
 	w1, b1 := r.connCounts()
 	os.connWrites, os.connBytes = w1-w0, b1-b0
 	r.settle()

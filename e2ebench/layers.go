@@ -45,7 +45,8 @@ var layerNames = [...]string{
 // whole Streamer.Push cost before the traced run fails.
 const reconcileTol = 0.15
 
-// frame is one uplink frame the generator sent in a timed phase.
+// frame is one uplink frame the generator sent from the prefilter
+// declarations on.
 type frame struct {
 	kind uint8
 	sec  int32
@@ -57,57 +58,8 @@ const (
 	frameAudit
 	frameDigest
 	frameConfirm
+	frameDecl
 )
-
-type countWriter struct{ n uint64 }
-
-func (c *countWriter) Write(p []byte) (int, error) { c.n += uint64(len(p)); return len(p), nil }
-
-// pricedUplink prices every timed-phase frame of an in-process run in
-// wire-protocol bytes, as a device streaming to a shard would send it.
-// Full-rate seconds are priced once per recording second (their frames
-// differ only in that second's samples).
-func (r *runner) pricedUplink() (uint64, error) {
-	var cw countWriter
-	enc := wire.NewEncoder(&cw)
-	size := func(err error) (uint64, error) {
-		before := cw.n
-		if err == nil {
-			err = enc.Flush()
-		}
-		return cw.n - before, err
-	}
-	memo := make([]map[int]uint64, len(r.recs))
-	for i := range memo {
-		memo[i] = map[int]uint64{}
-	}
-	var total uint64
-	for _, p := range r.pats {
-		for _, f := range p.uplinkFrames() {
-			pos := (p.off + int(f.sec)) % r.w.cycle()
-			var n uint64
-			var err error
-			switch f.kind {
-			case framePush, frameAudit:
-				var ok bool
-				if n, ok = memo[p.recIdx][pos]; !ok {
-					c0, c1 := p.rec.second(pos)
-					n, err = size(enc.Push(p.id, c0, c1))
-					memo[p.recIdx][pos] = n
-				}
-			case frameDigest:
-				n, err = size(enc.PushDigest(p.id, f.d))
-			case frameConfirm:
-				n, err = size(enc.Confirm(p.id))
-			}
-			if err != nil {
-				return 0, fmt.Errorf("pricing uplink frames: %w", err)
-			}
-			total += n
-		}
-	}
-	return total, nil
-}
 
 type featureCosts struct {
 	total, periodogram, dwt, entropy, residual float64 // µs per window
@@ -350,93 +302,114 @@ type wireCosts struct {
 	encodeNs, decodeNs    float64
 	fullBytes, gatedBytes float64 // per full push frame; per gated patient-second
 	pushqFrac             float64
-	frames                int
+	totalBytes            uint64 // every timed-phase frame, framed as a router sends it
+	encoded               int    // frames encoded and decoded back
 }
 
-// replayWire re-encodes the timed phases' frame sequence with
-// wire.Encoder and decodes it back with wire.Decoder.
+// replayWire prices every timed-phase frame with wire.Encoder and
+// decodes the encoded frames back with wire.Decoder. Patient IDs are
+// fixed-width, so a push or audit frame depends only on its recording
+// second: each (kind, recording, second) is encoded once and its size
+// and frame kind count for every patient that sends it. Digests,
+// confirmations and prefilter declarations are encoded one by one.
 func replayWire(r *runner, tr *tracer) (wireCosts, error) {
 	var wc wireCosts
 	var buf bytes.Buffer
 	enc := wire.NewEncoder(&buf)
+	type key struct {
+		kind     uint8
+		rec, pos int
+	}
+	type sized struct {
+		n    uint64
+		kind wire.Kind
+	}
+	memo := map[key]sized{}
 	var encNs int64
-	var fullBytes, fullFrames, gatedBytes, gatedSecs uint64
-	const maxFrames = 60000
+	var fullBytes, fullFrames, gatedBytes, gatedSecs, push, pushq uint64
 	for _, p := range r.pats {
 		gated := p.pf != nil
 		if gated {
 			gatedSecs += uint64(p.next - p.armedAt)
 		}
 		for _, f := range p.uplinkFrames() {
-			if wc.frames >= maxFrames {
-				break
-			}
-			before := buf.Len()
 			pos := (p.off + int(f.sec)) % r.w.cycle()
-			t0 := now()
-			var err error
-			switch f.kind {
-			case framePush:
-				c0, c1 := p.rec.second(pos)
-				err = enc.Push(p.id, c0, c1)
-			case frameAudit:
-				c0, c1 := p.rec.second(pos)
-				err = enc.AuditPush(p.id, c0, c1)
-			case frameDigest:
-				err = enc.PushDigest(p.id, f.d)
-			case frameConfirm:
-				err = enc.Confirm(p.id)
+			k := key{f.kind, p.recIdx, pos}
+			sz, ok := memo[k]
+			if !ok {
+				before, start := enc.BytesWritten(), buf.Len()
+				t0 := now()
+				var err error
+				switch f.kind {
+				case framePush:
+					c0, c1 := p.rec.second(pos)
+					err = enc.Push(p.id, c0, c1)
+				case frameAudit:
+					c0, c1 := p.rec.second(pos)
+					err = enc.AuditPush(p.id, c0, c1)
+				case frameDigest:
+					err = enc.PushDigest(p.id, f.d)
+				case frameConfirm:
+					err = enc.Confirm(p.id)
+				case frameDecl:
+					err = enc.PrefilterDecl(p.id, p.pf.Declared())
+				}
+				t1 := now()
+				if err == nil {
+					err = enc.Flush()
+				}
+				if err != nil {
+					return wc, fmt.Errorf("wire replay: %w", err)
+				}
+				tr.addLayer(spanLayer, layerEncode, uint64(wc.encoded), spanNone, t0, t1)
+				encNs += t1 - t0
+				wc.encoded++
+				sz = sized{n: enc.BytesWritten() - before, kind: wire.Kind(buf.Bytes()[start+4])}
+				if f.kind == framePush || f.kind == frameAudit {
+					memo[k] = sz
+				}
 			}
-			t1 := now()
-			if err != nil {
-				return wc, err
-			}
-			tr.addLayer(spanLayer, layerEncode, uint64(wc.frames), spanNone, t0, t1)
-			encNs += t1 - t0
-			wc.frames++
-			if err := enc.Flush(); err != nil {
-				return wc, err
-			}
-			n := uint64(buf.Len() - before)
-			if f.kind == framePush && !gated {
-				fullBytes += n
+			wc.totalBytes += sz.n
+			if gated {
+				gatedBytes += sz.n
+			} else if f.kind == framePush {
+				fullBytes += sz.n
 				fullFrames++
 			}
-			if gated {
-				gatedBytes += n
+			if f.kind == framePush {
+				switch sz.kind {
+				case wire.KindPush:
+					push++
+				case wire.KindPushQ:
+					pushq++
+				}
 			}
 		}
 	}
-	if wc.frames == 0 {
+	if wc.encoded == 0 {
 		return wc, fmt.Errorf("wire replay: no frames")
 	}
 	dec := wire.NewDecoder(bytes.NewReader(buf.Bytes()))
 	var decNs int64
-	var push, pushq, decoded int
+	decoded := 0
 	for {
 		t0 := now()
-		msg, err := dec.Next()
+		_, err := dec.Next()
 		t1 := now()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return wc, err
+			return wc, fmt.Errorf("wire replay: %w", err)
 		}
 		tr.addLayer(spanLayer, layerDecode, uint64(decoded), spanNone, t0, t1)
 		decNs += t1 - t0
 		decoded++
-		switch msg.Kind {
-		case wire.KindPush:
-			push++
-		case wire.KindPushQ:
-			pushq++
-		}
 	}
-	if decoded != wc.frames {
-		return wc, fmt.Errorf("wire replay: decoded %d of %d frames", decoded, wc.frames)
+	if decoded != wc.encoded {
+		return wc, fmt.Errorf("wire replay: decoded %d of %d frames", decoded, wc.encoded)
 	}
-	wc.encodeNs = float64(encNs) / float64(wc.frames)
+	wc.encodeNs = float64(encNs) / float64(wc.encoded)
 	wc.decodeNs = float64(decNs) / float64(decoded)
 	if fullFrames > 0 {
 		wc.fullBytes = float64(fullBytes) / float64(fullFrames)
@@ -453,7 +426,7 @@ func replayWire(r *runner, tr *tracer) (wireCosts, error) {
 // perLayer runs the single-goroutine replays and reports every
 // per-layer metric.
 func perLayer(rep *report, w workload, r *runner, rowsOf [][][]float64, circ [][][]float64,
-	unp, unpTr phaseStats, ol openStats, lateP99, depthSlope float64) error {
+	wc wireCosts, unp, unpTr phaseStats, ol openStats, lateP99, depthSlope float64) error {
 	local := w.shards == 0
 	fcost, err := replayFeatures(w, r.recs, r.tr)
 	if err != nil {
@@ -470,10 +443,6 @@ func perLayer(rep *report, w workload, r *runner, rowsOf [][][]float64, circ [][
 	}
 	r.led.check(forc.mismatches == 0, "int16 and float forest decisions agree")
 	rtNs, err := replayRT(r, rowsOf, r.tr)
-	if err != nil {
-		return err
-	}
-	wc, err := replayWire(r, r.tr)
 	if err != nil {
 		return err
 	}
@@ -564,7 +533,7 @@ func perLayer(rep *report, w workload, r *runner, rowsOf [][][]float64, circ [][
 	fmt.Printf("# learner replay reproduced %d of %d served models' shapes\n", matched, len(lt.label))
 
 	p50p99("events.deliver_ms", "ms", ol.deliver)
-	rep.value("events.dropped", "count", float64(st.EventsDropped+cs.EventsDropped), nil)
+	rep.value("events.dropped", "count", float64(cs.EventsDropped), nil)
 
 	rep.value("wire.encode_ns_per_frame", "ns", wc.encodeNs, nil)
 	rep.value("wire.decode_ns_per_frame", "ns", wc.decodeNs, nil)

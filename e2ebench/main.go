@@ -158,7 +158,7 @@ func bench(w workload, seed int64, total time.Duration, traced bool) (*result, e
 		procs = n
 		runtime.GOMAXPROCS(n)
 	}
-	unpacedD := total * 2 / 5
+	unpacedD := total / 2
 	openD := total - unpacedD
 	stamp(w, seed, procs, unpacedD, openD, traced)
 
@@ -211,10 +211,13 @@ func bench(w workload, seed int64, total time.Duration, traced bool) (*result, e
 		}
 	}
 	defer r.close()
+	// The uplink is counted from the prefilter declarations on: the
+	// router may still be writing them when the first phase starts.
+	r.timed = true
+	up0 := r.sys.uplinkBytes()
 	if err := r.armPrefilters(); err != nil {
 		return nil, err
 	}
-	r.timed = true
 	r.reserve(unpacedD, openD)
 	ev0 := r.ev.alarmCount()
 
@@ -276,12 +279,23 @@ func bench(w workload, seed int64, total time.Duration, traced bool) (*result, e
 	fmt.Printf("# open loop: offered %d slots at %.0f/s, skipped %d (waiting on retrain), late p99 %.3f ms, backlog slope %.2f jobs/s, %d GC cycles, valid %v\n",
 		ol.offered, w.rate, ol.skipped, lateP99, depthSlope, ol.gcs, valid)
 
-	if !traced {
-		if err := endToEnd(rep, w, r, setupS, unp, ol, valid); err != nil {
-			return nil, err
-		}
+	wc, err := replayWire(r, tr)
+	if err != nil {
+		return nil, err
+	}
+	sent := r.sys.uplinkBytes() - up0
+	if w.shards > 0 {
+		led.check(sent == wc.totalBytes, "router uplink bytes equal the wire replay")
+		fmt.Printf("# uplink: router %d bytes, wire replay %d bytes\n", sent, wc.totalBytes)
 	} else {
-		if err := perLayer(rep, w, r, rowsOf, circ, unp, unpTraced, ol, lateP99, depthSlope); err != nil {
+		// Nothing crosses a wire in process: the same frames are priced
+		// by the wire replay, the bytes a device would send a shard.
+		sent = wc.totalBytes
+	}
+	if !traced {
+		endToEnd(rep, r, setupS, unp, ol, sent, valid)
+	} else {
+		if err := perLayer(rep, w, r, rowsOf, circ, wc, unp, unpTraced, ol, lateP99, depthSlope); err != nil {
 			return nil, err
 		}
 		tr.printSelfTimes()
@@ -313,10 +327,14 @@ func bench(w workload, seed int64, total time.Duration, traced bool) (*result, e
 }
 
 // endToEnd reports the user-visible metrics of an untraced run.
-func endToEnd(rep *report, w workload, r *runner, setupS []float64, unp phaseStats, ol openStats, valid bool) error {
+func endToEnd(rep *report, r *runner, setupS []float64, unp phaseStats, ol openStats, uplink uint64, valid bool) {
 	rep.value("setup_s", "s", median(setupS), setupS)
-	rep.value("windows_per_s", "windows/s", median(unp.rates), unp.rates)
-	rep.value("cpu_us_per_window", "us", median(unp.cpuPer), unp.cpuPer)
+	// Whole-phase ratios: a one-second slice covers less than one
+	// seizure cycle per patient, so its mix of seizure and quiet
+	// seconds (full-rate and suppressed windows on edge-fleet-tcp)
+	// moves its rate far more than the host does.
+	rep.value("windows_per_s", "windows/s", float64(unp.accounted)/unp.wall.Seconds(), unp.rates)
+	rep.value("cpu_us_per_window", "us", float64(unp.cpu.Nanoseconds())/1e3/float64(unp.accounted), unp.cpuPer)
 	// Latencies are printed with their sample counts but not gated: on a
 	// shared two-CPU VM their run-to-run spread on edge-fleet-tcp, whose
 	// path crosses loopback TCP twice, reached 0.7-1.2 of the median
@@ -326,26 +344,9 @@ func endToEnd(rep *report, w workload, r *runner, setupS []float64, unp phaseSta
 	rep.pct("alarm_p99_ms", "ms", ol.alarmsLat, 0.99, valid, false)
 	rep.pct("retrain_p50_ms", "ms", msOf(r.retrains), 0.50, true, false)
 	rep.pct("retrain_p90_ms", "ms", msOf(r.retrains), 0.90, true, false)
-	upl, secs, err := r.uplink(unp, ol)
-	if err != nil {
-		return err
-	}
-	rep.value("uplink_bytes_per_patient_s", "bytes", upl/secs, nil)
+	rep.value("uplink_bytes_per_patient_s", "bytes", float64(uplink)/float64(unp.seconds+ol.seconds), nil)
 	rep.value("peak_rss_mb", "MB", peakRSSMB(), nil)
 	fmt.Printf("%-36s %14.6f %-10s\n", "failed_frac", r.led.frac(), "ratio")
-	return nil
-}
-
-// uplink returns the timed phases' uplink bytes and patient-seconds.
-// Over TCP it is Router.UplinkBytes; in process every pushed frame is
-// priced in wire-protocol bytes as a device would send it.
-func (r *runner) uplink(unp phaseStats, ol openStats) (bytes, secs float64, err error) {
-	secs = float64(unp.seconds + ol.seconds)
-	if r.w.shards > 0 {
-		return float64(unp.uplink + ol.uplink), secs, nil
-	}
-	n, err := r.pricedUplink()
-	return float64(n), secs, err
 }
 
 func stamp(w workload, seed int64, procs int, unp, open time.Duration, traced bool) {
@@ -356,9 +357,6 @@ func stamp(w workload, seed int64, procs int, unp, open time.Duration, traced bo
 				commit = s.Value
 			}
 		}
-	}
-	if c := os.Getenv("BENCH_COMMIT"); c != "" {
-		commit = c
 	}
 	fmt.Printf("# e2ebench workload=%s seed=%d trace=%v\n", w.name, seed, traced)
 	fmt.Printf("# cpu=%q nproc=%d gomaxprocs=%d go=%s commit=%s\n", cpuModel(), runtime.NumCPU(), procs, runtime.Version(), commit)

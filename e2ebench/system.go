@@ -9,24 +9,16 @@ import (
 
 	"selflearn/internal/cluster"
 	"selflearn/internal/ml/forest"
+	"selflearn/internal/scenario"
 	"selflearn/internal/serve"
 )
-
-// handle is what the generator drives per patient: serve.Stream in
-// process, cluster.Stream over TCP.
-type handle interface {
-	Push(c0, c1 []float64) error
-	PushAudit(c0, c1 []float64) error
-	PushDigest(d serve.Digest) error
-	DeclarePrefilter(cfg serve.PrefilterConfig) error
-	Confirm() error
-	Close()
-}
 
 // system is the serving stack under test, reached only through the
 // public APIs of internal/serve and internal/cluster.
 type system interface {
-	open(id string) (handle, error)
+	// open returns the patient's stream: serve.Stream in process,
+	// cluster.Stream over TCP.
+	open(id string) (scenario.PrefilterHandle, error)
 	// stats sums the serving counters of every server in the process.
 	stats() serve.Stats
 	// clientStats returns the router's fleet-summed view (cluster) or
@@ -52,9 +44,11 @@ func newLocal(w workload, workers int, sink func(serve.Event)) (*localSystem, er
 	return &localSystem{srv: srv}, nil
 }
 
-func (l *localSystem) open(id string) (handle, error) { return l.srv.Open(id) }
-func (l *localSystem) stats() serve.Stats             { return l.srv.Snapshot() }
-func (l *localSystem) clientStats() serve.Stats       { return l.srv.Snapshot() }
+func (l *localSystem) open(id string) (scenario.PrefilterHandle, error) {
+	return l.srv.Open(id)
+}
+func (l *localSystem) stats() serve.Stats       { return l.srv.Snapshot() }
+func (l *localSystem) clientStats() serve.Stats { return l.srv.Snapshot() }
 func (l *localSystem) model(id string) (*forest.FlatForest, uint64) {
 	return l.srv.ModelVersioned(id)
 }
@@ -147,7 +141,9 @@ func newCluster(w workload, deliver func(serve.Event, int64)) (*clusterSystem, e
 	return cs, nil
 }
 
-func (c *clusterSystem) open(id string) (handle, error) { return c.router.Open(id) }
+func (c *clusterSystem) open(id string) (scenario.PrefilterHandle, error) {
+	return c.router.Open(id)
+}
 
 func (c *clusterSystem) stats() serve.Stats {
 	var agg serve.Stats
@@ -159,6 +155,7 @@ func (c *clusterSystem) stats() serve.Stats {
 		agg.Windows += st.Windows
 		agg.Alarms += st.Alarms
 		agg.Confirms += st.Confirms
+		agg.ConfirmsRejected += st.ConfirmsRejected
 		agg.ConfirmsDropped += st.ConfirmsDropped
 		agg.Retrains += st.Retrains
 		agg.RetrainErrors += st.RetrainErrors

@@ -52,7 +52,7 @@ type workload struct {
 }
 
 var workloads = []workload{
-	{name: "ward-inproc", patients: 256, recs: 4, seizures: 16, gap: 40, dur: 20,
+	{name: "ward-inproc", patients: 256, recs: 16, seizures: 16, gap: 40, dur: 20,
 		history: 2 * time.Minute, rate: 8000, learners: 2},
 	// One learner: retraining takes at most one of the two CPUs from
 	// the serving workers and the generator.
@@ -62,7 +62,7 @@ var workloads = []workload{
 	// (30 s in 160 s), so most seconds never reach feature extraction.
 	// With half, or a quarter, of the patients at full rate and denser
 	// seizures, features were still half or more of this workload's CPU.
-	{name: "edge-fleet-tcp", patients: 128, recs: 4, seizures: 6, gap: 160, dur: 30,
+	{name: "edge-fleet-tcp", patients: 128, recs: 16, seizures: 6, gap: 160, dur: 30,
 		history: 2 * time.Minute, rate: 5000, learners: 2, shards: 2, fullRateEvery: 8},
 }
 
