@@ -118,13 +118,16 @@ func (p *Plan) butterflies(x []complex128) {
 
 const pi = 3.141592653589793
 
-// RealPlan computes one-sided power spectra of real signals of a fixed
-// power-of-two length n: the n-point real input is packed into an
+// RealPlan computes one-sided periodograms of real signals zero-padded
+// to a fixed power-of-two length n: the real input is packed into an
 // n/2-point complex transform and unpacked with one twiddle rotation per
 // bin — a little over twice as fast as running the full complex
-// transform on zero imaginary parts, which is what the periodogram
-// workspace used to do. A RealPlan owns a scratch buffer and is NOT safe
-// for concurrent use; give each workspace its own.
+// transform on zero imaginary parts. The taper multiply and the zero
+// padding ride along with the bit-reversed pack, and the scaling and
+// negative-frequency fold with the unpack, so the signal is touched
+// once on the way in and the bins once on the way out. A RealPlan owns
+// a scratch buffer and is NOT safe for concurrent use; give each
+// workspace its own.
 type RealPlan struct {
 	n    int
 	half *Plan
@@ -157,25 +160,39 @@ func (p *RealPlan) Len() int { return p.n }
 // NumBins returns the number of one-sided spectrum bins (n/2 + 1).
 func (p *RealPlan) NumBins() int { return p.n/2 + 1 }
 
-// PowerSpectrumInto writes the squared DFT magnitudes |X[k]|² of the
-// real signal xs into dst for k = 0..n/2 and returns dst[:n/2+1].
-// len(xs) must equal the planned length and cap(dst) must be at least
+// OneSidedPowerInto writes the scaled one-sided power spectrum of the
+// tapered signal xs[i]·taper[i], zero-padded to the planned length,
+// into dst and returns dst[:n/2+1]: dst[k] = |X[k]|²·scale for the DC
+// and Nyquist bins and (|X[k]|²·scale)·2 for the bins between, whose
+// negative-frequency twins fold in. len(taper) must equal len(xs),
+// which may not exceed the planned length; cap(dst) must be at least
 // n/2+1. It allocates nothing.
 //
 //selflearn:hotpath
-func (p *RealPlan) PowerSpectrumInto(dst []float64, xs []float64) ([]float64, error) {
+func (p *RealPlan) OneSidedPowerInto(dst, xs, taper []float64, scale float64) ([]float64, error) {
 	n := p.n
-	if len(xs) != n {
-		return nil, fmt.Errorf("fft: real plan sized for %d points, got %d", n, len(xs))
+	if len(xs) > n || len(taper) != len(xs) {
+		return nil, fmt.Errorf("fft: real plan sized for %d points, got %d samples and %d taper coefficients", n, len(xs), len(taper))
 	}
 	m := n / 2
 	z := p.z
-	// Pack adjacent sample pairs straight into bit-reversed positions,
-	// so the transform skips its permutation pass entirely.
-	rev := p.half.rev
-	z[0] = complex(xs[0], xs[1])
-	for i := 1; i < m; i++ {
-		z[rev[i]] = complex(xs[2*i], xs[2*i+1])
+	// Pack tapered sample pairs straight into bit-reversed positions, so
+	// the transform skips its permutation pass entirely; pairs past the
+	// signal are the zero padding.
+	rev := p.half.rev[:m]
+	pairs := len(xs) / 2
+	for i := 0; i < pairs; i++ {
+		j := 2 * i
+		z[rev[i]] = complex(xs[j]*taper[j], xs[j+1]*taper[j+1])
+	}
+	i := pairs
+	if len(xs)%2 == 1 {
+		j := len(xs) - 1
+		z[rev[i]] = complex(xs[j]*taper[j], 0)
+		i++
+	}
+	for ; i < m; i++ {
+		z[rev[i]] = 0
 	}
 	p.half.butterflies(z)
 	dst = dst[:m+1]
@@ -183,8 +200,8 @@ func (p *RealPlan) PowerSpectrumInto(dst []float64, xs []float64) ([]float64, er
 	re0, im0 := real(z[0]), imag(z[0])
 	dc := re0 + im0
 	ny := re0 - im0
-	dst[0] = dc * dc
-	dst[m] = ny * ny
+	dst[0] = dc * dc * scale
+	dst[m] = ny * ny * scale
 	// Unpack X[k] = E[k] + w[k]·O[k] with E[k] = (Z[k]+conj(Z[m−k]))/2,
 	// O[k] = (Z[k]−conj(Z[m−k]))/(2i). The twiddle table covers k ≤ n/4;
 	// the mirror bin m−k reuses w[k] via the conjugate-symmetry of the
@@ -201,16 +218,14 @@ func (p *RealPlan) PowerSpectrumInto(dst []float64, xs []float64) ([]float64, er
 		ti := wr*oiE + wi*orE
 		xr := erE + tr
 		xi := eiE + ti
-		dst[k] = xr*xr + xi*xi
+		dst[k] = (xr*xr + xi*xi) * scale * 2
 		if k != m-k {
-			// X[m−k] = conj(E) − conj(w·O)… derived directly: with
-			// E' = (Z[m−k]+conj(Z[k]))/2 = conj(E) and
-			// O' = (Z[m−k]−conj(Z[k]))/(2i) = −conj(O), and
-			// w[m−k] = −conj(w[k]):  X[m−k] = conj(E) − conj(w)·conj(O)
-			// = conj(E + w·O − 2i·Im(w·O))… simplest exact form below.
+			// With E' = (Z[m−k]+conj(Z[k]))/2 = conj(E),
+			// O' = (Z[m−k]−conj(Z[k]))/(2i) = conj(O) and
+			// w[m−k] = −conj(w[k]): X[m−k] = conj(E − w·O).
 			yr := erE - tr
 			yi := -eiE + ti
-			dst[m-k] = yr*yr + yi*yi
+			dst[m-k] = (yr*yr + yi*yi) * scale * 2
 		}
 	}
 	return dst, nil

@@ -59,29 +59,41 @@ func TestRealPlanPowerSpectrum(t *testing.T) {
 		if rp.Len() != n || rp.NumBins() != n/2+1 {
 			t.Fatalf("n=%d: Len=%d NumBins=%d", n, rp.Len(), rp.NumBins())
 		}
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.NormFloat64()
-		}
-		full := make([]complex128, n)
-		for i, v := range xs {
-			full[i] = complex(v, 0)
-		}
-		if err := Forward(full); err != nil {
-			t.Fatal(err)
-		}
-		dst := make([]float64, n/2+1)
-		got, err := rp.PowerSpectrumInto(dst, xs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != n/2+1 {
-			t.Fatalf("n=%d: got %d bins", n, len(got))
-		}
-		for k := 0; k <= n/2; k++ {
-			want := real(full[k])*real(full[k]) + imag(full[k])*imag(full[k])
-			if d := math.Abs(got[k] - want); d > 1e-8*(1+want)*float64(n) {
-				t.Fatalf("n=%d bin %d: got %g want %g", n, k, got[k], want)
+		// Full length and, for the larger plans, an odd zero-padded
+		// length; the taper and scale are checked against the complex
+		// transform of the explicitly tapered, padded signal.
+		for _, sig := range []int{n, n - 3} {
+			if sig < 1 {
+				continue
+			}
+			xs := make([]float64, sig)
+			taper := make([]float64, sig)
+			full := make([]complex128, n)
+			for i := range xs {
+				xs[i] = rng.NormFloat64()
+				taper[i] = 0.5 + rng.Float64()
+				full[i] = complex(xs[i]*taper[i], 0)
+			}
+			if err := Forward(full); err != nil {
+				t.Fatal(err)
+			}
+			const scale = 0.25
+			dst := make([]float64, n/2+1)
+			got, err := rp.OneSidedPowerInto(dst, xs, taper, scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != n/2+1 {
+				t.Fatalf("n=%d: got %d bins", n, len(got))
+			}
+			for k := 0; k <= n/2; k++ {
+				want := (real(full[k])*real(full[k]) + imag(full[k])*imag(full[k])) * scale
+				if k != 0 && k != n/2 {
+					want *= 2
+				}
+				if d := math.Abs(got[k] - want); d > 1e-8*(1+want)*float64(n) {
+					t.Fatalf("n=%d len=%d bin %d: got %g want %g", n, sig, k, got[k], want)
+				}
 			}
 		}
 	}
@@ -98,8 +110,11 @@ func TestRealPlanRejectsBadLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rp.PowerSpectrumInto(make([]float64, 5), make([]float64, 4)); err == nil {
-		t.Fatal("PowerSpectrumInto with wrong length should fail")
+	if _, err := rp.OneSidedPowerInto(make([]float64, 5), make([]float64, 9), make([]float64, 9), 1); err == nil {
+		t.Fatal("OneSidedPowerInto with a signal longer than the plan should fail")
+	}
+	if _, err := rp.OneSidedPowerInto(make([]float64, 5), make([]float64, 8), make([]float64, 7), 1); err == nil {
+		t.Fatal("OneSidedPowerInto with a short taper should fail")
 	}
 }
 
@@ -123,13 +138,15 @@ func BenchmarkPlanForward1024(b *testing.B) {
 func BenchmarkRealPlanPower1024(b *testing.B) {
 	rp, _ := NewRealPlan(1024)
 	xs := make([]float64, 1024)
+	taper := make([]float64, 1024)
 	for i := range xs {
 		xs[i] = float64(i % 17)
+		taper[i] = 1
 	}
 	dst := make([]float64, rp.NumBins())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = rp.PowerSpectrumInto(dst, xs)
+		_, _ = rp.OneSidedPowerInto(dst, xs, taper, 1)
 	}
 }

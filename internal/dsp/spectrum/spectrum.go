@@ -151,18 +151,16 @@ func (p *PSD) RelativeBandPower(b Band) float64 {
 
 // Workspace owns the reusable state of periodogram estimation at one
 // fixed signal length: the memoized taper table, its power correction,
-// and the FFT buffer. PeriodogramInto then estimates a PSD with zero
-// steady-state allocations. A Workspace is not safe for concurrent use;
-// give each streaming extractor its own.
+// and the real-input FFT plan. PeriodogramInto then estimates a PSD with
+// zero steady-state allocations. A Workspace is not safe for concurrent
+// use; give each streaming extractor its own.
 type Workspace struct {
 	n      int
 	fs     float64
+	nfft   int
 	coeffs []float64 // shared read-only taper table (window.Cached)
-	wp     float64   // taper power correction
 	rp     *fft.RealPlan
-	rbuf   []float64 // tapered, zero-padded real input
 	scale  float64
-	half   int
 }
 
 // NewWorkspace builds a periodogram workspace for signals of exactly n
@@ -182,14 +180,12 @@ func NewWorkspace(n int, fs float64, taper window.Func) (*Workspace, error) {
 	ws := &Workspace{
 		n:      n,
 		fs:     fs,
+		nfft:   nfft,
 		coeffs: window.Cached(taper, n),
-		wp:     wp,
-		rbuf:   make([]float64, nfft),
 		// One-sided PSD with taper power correction. The denominator
 		// uses the original (pre-padding) length so that total power
 		// matches the time-domain mean square of the tapered signal.
 		scale: 1 / (fs * float64(n) * wp),
-		half:  nfft/2 + 1,
 	}
 	if nfft >= 2 {
 		rp, err := fft.NewRealPlan(nfft)
@@ -202,7 +198,7 @@ func NewWorkspace(n int, fs float64, taper window.Func) (*Workspace, error) {
 }
 
 // NumBins returns the number of one-sided PSD bins the workspace produces.
-func (ws *Workspace) NumBins() int { return ws.half }
+func (ws *Workspace) NumBins() int { return ws.nfft/2 + 1 }
 
 // PeriodogramInto estimates the one-sided PSD of xs into dst, reusing
 // dst.Power when already sized. len(xs) must equal the workspace length.
@@ -212,37 +208,27 @@ func (ws *Workspace) PeriodogramInto(dst *PSD, xs []float64) error {
 	if len(xs) != ws.n {
 		return fmt.Errorf("spectrum: workspace sized for %d samples, got %d", ws.n, len(xs))
 	}
-	if cap(dst.Power) < ws.half {
-		dst.Power = make([]float64, ws.half)
+	half := ws.NumBins()
+	if cap(dst.Power) < half {
+		dst.Power = make([]float64, half)
 	}
-	dst.Power = dst.Power[:ws.half]
-	nfft := len(ws.rbuf)
-	for i, v := range xs {
-		ws.rbuf[i] = v * ws.coeffs[i]
-	}
-	for i := ws.n; i < nfft; i++ {
-		ws.rbuf[i] = 0
-	}
+	dst.Power = dst.Power[:half]
 	if ws.rp != nil {
-		// |X[k]|² straight into the PSD bins, via the half-size
-		// real-input transform.
-		if _, err := ws.rp.PowerSpectrumInto(dst.Power, ws.rbuf); err != nil {
+		// Taper, zero padding, scaling and the negative-frequency fold
+		// all happen inside the half-size real-input transform.
+		if _, err := ws.rp.OneSidedPowerInto(dst.Power, xs, ws.coeffs, ws.scale); err != nil {
 			return err
 		}
 	} else {
 		// nfft == 1: the single bin is the (tapered) sample itself.
-		dst.Power[0] = ws.rbuf[0] * ws.rbuf[0]
+		v := xs[0] * ws.coeffs[0]
+		dst.Power[0] = v * v * ws.scale
 	}
 	var total float64
-	for k := 0; k < ws.half; k++ {
-		p := dst.Power[k] * ws.scale
-		if k != 0 && k != nfft/2 {
-			p *= 2 // fold negative frequencies
-		}
-		dst.Power[k] = p
+	for _, p := range dst.Power {
 		total += p
 	}
-	dst.BinWidth = ws.fs / float64(nfft)
+	dst.BinWidth = ws.fs / float64(ws.nfft)
 	dst.total = total * dst.BinWidth
 	dst.hasTotal = true
 	return nil

@@ -4,10 +4,11 @@ import "fmt"
 
 // Workspace owns the reusable state of multilevel decomposition: the
 // analysis filters (derived once instead of per Forward call), two
-// ping-pong approximation buffers, and a padding buffer. DecomposeInto
-// then runs a full DWT with zero steady-state allocations, producing
-// coefficients bit-identical to Decompose. A Workspace is not safe for
-// concurrent use; give each streaming extractor its own.
+// ping-pong approximation buffers (half and quarter of the signal
+// length), and a padding buffer. DecomposeInto then runs a full DWT
+// with zero steady-state allocations, producing coefficients
+// bit-identical to Decompose. A Workspace is not safe for concurrent
+// use; give each streaming extractor its own.
 type Workspace struct {
 	w      Wavelet
 	lo, hi []float64
@@ -138,10 +139,9 @@ func grow(buf []float64, n int) []float64 {
 }
 
 // DecomposeInto performs a level-deep multilevel DWT of x into d,
-// reusing d's coefficient slices when already sized. x is read-only.
-// The result is bit-identical to Decompose. It seeds d with x as the
-// level-0 approximation and delegates the descent to ExtendInto, so
-// the analysis loop exists exactly once.
+// reusing d's coefficient slices when already sized. x is read-only:
+// level 1 analyses it in place, so no copy of the signal is made. The
+// result is bit-identical to Decompose.
 //
 //selflearn:hotpath
 func (ws *Workspace) DecomposeInto(d *Decomposition, x []float64, level int) error {
@@ -153,10 +153,9 @@ func (ws *Workspace) DecomposeInto(d *Decomposition, x []float64, level int) err
 			len(x), level, MaxLevel(len(x)))
 	}
 	d.Details = d.Details[:0]
-	d.Approx = grow(d.Approx, len(x))
-	copy(d.Approx, x)
 	d.Wavelet = ws.w
-	return ws.ExtendInto(d, level)
+	ws.descend(d, x, level)
+	return nil
 }
 
 // ExtendInto deepens an existing decomposition in place from its
@@ -174,25 +173,32 @@ func (ws *Workspace) ExtendInto(d *Decomposition, level int) error {
 		return fmt.Errorf("wavelet: approximation length %d does not support %d more levels (max %d)",
 			len(d.Approx), level-have, MaxLevel(len(d.Approx)))
 	}
-	n := len(d.Approx)
-	ws.bufA = grow(ws.bufA, n)
-	ws.bufB = grow(ws.bufB, n/2)
-	cur := ws.bufA[:n]
-	copy(cur, d.Approx)
-	next := ws.bufB
+	ws.descend(d, d.Approx, level)
+	return nil
+}
+
+// descend appends detail levels len(d.Details)+1..level to d, analysing
+// src (the approximation at the current depth, only read) and leaving
+// the final approximation in d.Approx. Intermediate approximations
+// ping-pong between the workspace buffers, so src may alias d.Approx.
+func (ws *Workspace) descend(d *Decomposition, src []float64, level int) {
+	have := len(d.Details)
+	n := len(src)
+	ws.bufA = grow(ws.bufA, n/2)
+	ws.bufB = grow(ws.bufB, n/4)
 	if cap(d.Details) < level {
 		details := make([][]float64, level)
 		copy(details, d.Details)
 		d.Details = details
 	}
 	d.Details = d.Details[:level]
+	cur, next, spare := src, ws.bufA, ws.bufB
 	for l := have; l < level; l++ {
 		half := len(cur) / 2
 		d.Details[l] = grow(d.Details[l], half)
 		ws.forwardInto(next[:half], d.Details[l], cur)
-		cur, next = next[:half], cur
+		cur, next, spare = next[:half], spare, next
 	}
 	d.Approx = grow(d.Approx, len(cur))
 	copy(d.Approx, cur)
-	return nil
 }

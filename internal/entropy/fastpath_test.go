@@ -1,8 +1,11 @@
 package entropy
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"selflearn/internal/stats"
@@ -119,6 +122,65 @@ func TestSampleNaNFallback(t *testing.T) {
 	}
 }
 
+// mapPermutation is an independent reference for permutation entropy:
+// a map tally of sort.SliceStable ordinal patterns, with the counts
+// summed in ascending order.
+func mapPermutation(xs []float64, n int) float64 {
+	if len(xs) < n {
+		return 0
+	}
+	counts := map[string]int{}
+	idx := make([]int, n)
+	total := 0
+	for start := 0; start+n <= len(xs); start++ {
+		win := xs[start : start+n]
+		for i := range idx {
+			idx[i] = i
+		}
+		sort.SliceStable(idx, func(a, b int) bool { return win[idx[a]] < win[idx[b]] })
+		counts[fmt.Sprint(idx)]++
+		total++
+	}
+	var cs []int
+	for _, c := range counts {
+		cs = append(cs, c)
+	}
+	slices.Sort(cs)
+	var h float64
+	for _, c := range cs {
+		p := float64(c) / float64(total)
+		h -= p * math.Log(p)
+	}
+	return h / logFactorial(n)
+}
+
+// TestPermutationMatchesMapTally checks the sorted-code tally bit for
+// bit against the map reference, on subband-sized and window-sized
+// inputs, with and without tied values.
+func TestPermutationMatchesMapTally(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var ws Workspace
+	for trial := 0; trial < 60; trial++ {
+		n := []int{2, 8, 9, 16, 64, 1024}[trial%6]
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = rng.NormFloat64()
+			if trial%2 == 1 {
+				xs[i] = math.Round(2 * xs[i]) // many ties
+			}
+		}
+		for _, order := range []int{2, 3, 5, 7} {
+			got, err := ws.Permutation(xs, order)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := mapPermutation(xs, order); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d len %d order %d: %v, want %v", trial, n, order, got, want)
+			}
+		}
+	}
+}
+
 // TestWorkspaceMatchesPackageFunctions reuses one workspace across many
 // different inputs and checks every estimator against its package-level
 // form — scratch reuse must never leak state between calls.
@@ -191,4 +253,27 @@ func BenchmarkSample(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkPermutation runs the 10-feature path's permutation entropies
+// on subband-sized inputs — orders 5 and 7 on the 8-value level-7
+// detail, order 7 on the 16-value level-6 detail — and the 54-feature
+// bank's orders 3 and 5 on a whole 1024-sample window.
+func BenchmarkPermutation(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, c := range []struct{ len, order int }{{8, 5}, {8, 7}, {16, 7}, {1024, 3}, {1024, 5}} {
+		xs := make([]float64, c.len)
+		for i := range xs {
+			xs[i] = rng.NormFloat64()
+		}
+		b.Run(fmt.Sprintf("len%d/n%d", c.len, c.order), func(b *testing.B) {
+			var ws Workspace
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ws.Permutation(xs, c.order); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -16,10 +16,11 @@ import (
 // zero value is ready to use; a Workspace is not safe for concurrent
 // use — give each streaming extractor its own.
 type Workspace struct {
-	counts map[uint64]int
-	cs     []int
-	hist   []int
-	order  []int32
+	keys  []uint64 // pattern tally: open-addressed codes, 0 = empty slot
+	tally []int
+	cs    []int
+	hist  []int
+	order []int32
 }
 
 // Permutation is the workspace form of the package-level Permutation.
@@ -35,13 +36,26 @@ func (ws *Workspace) Permutation(xs []float64, n int) (float64, error) {
 	if len(xs) < n {
 		return 0, nil
 	}
-	if ws.counts == nil {
-		ws.counts = make(map[uint64]int)
+	total := len(xs) - n + 1
+	// The tally is a linear-probing table at most half full: it holds
+	// at most min(windows, n!) distinct patterns.
+	distinct := total
+	if f := factorial(n); f < distinct {
+		distinct = f
 	}
-	clear(ws.counts)
+	bits := 2
+	for 1<<bits < 2*distinct {
+		bits++
+	}
+	size := 1 << bits
+	if cap(ws.keys) < size {
+		ws.keys = make([]uint64, size)
+		ws.tally = make([]int, size)
+	}
+	keys, tally := ws.keys[:size], ws.tally[:size]
+	clear(keys)
 	var idx [12]int
-	total := 0
-	for start := 0; start+n <= len(xs); start++ {
+	for start := 0; start < total; start++ {
 		win := xs[start : start+n]
 		for i := 0; i < n; i++ {
 			idx[i] = i
@@ -54,19 +68,29 @@ func (ws *Workspace) Permutation(xs []float64, n int) (float64, error) {
 				idx[j], idx[j-1] = idx[j-1], idx[j]
 			}
 		}
-		// Encode the permutation as a base-n integer (n <= 12 fits easily).
+		// Encode the permutation as a base-n integer (n <= 12 fits
+		// easily). Only the identity of a pattern matters, and no
+		// permutation of n >= 2 indices encodes to 0, the empty mark.
 		var code uint64
 		for _, v := range idx[:n] {
 			code = code*uint64(n) + uint64(v)
 		}
-		ws.counts[code]++
-		total++
+		slot := int((code * 0x9e3779b97f4a7c15) >> (64 - bits))
+		for keys[slot] != code && keys[slot] != 0 {
+			slot = (slot + 1) & (size - 1)
+		}
+		if keys[slot] == 0 {
+			keys[slot], tally[slot] = code, 0
+		}
+		tally[slot]++
 	}
-	// Accumulate in a deterministic order: map iteration order is random
-	// in Go and would otherwise perturb the last float bits run-to-run.
+	// Accumulate in ascending count order, so the float sum does not
+	// depend on where patterns landed in the table.
 	ws.cs = ws.cs[:0]
-	for _, c := range ws.counts {
-		ws.cs = append(ws.cs, c)
+	for slot, k := range keys {
+		if k != 0 {
+			ws.cs = append(ws.cs, tally[slot])
+		}
 	}
 	slices.Sort(ws.cs)
 	var h float64
@@ -80,6 +104,15 @@ func (ws *Workspace) Permutation(xs []float64, n int) (float64, error) {
 		return 0, nil
 	}
 	return h / maxH, nil
+}
+
+// factorial returns n! for the permutation orders (n <= 12 fits an int).
+func factorial(n int) int {
+	f := 1
+	for i := 2; i <= n; i++ {
+		f *= i
+	}
+	return f
 }
 
 // histogram bins xs into nbins reused workspace bins and returns the

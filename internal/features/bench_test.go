@@ -88,6 +88,9 @@ func TestExtract10AllocBudget(t *testing.T) {
 	}
 }
 
+// BenchmarkStreamerPush pushes sample pairs one at a time, as the
+// serving path does, and reports the cost per emitted window (one hop
+// of pushes plus the row computation).
 func BenchmarkStreamerPush(b *testing.B) {
 	rec := benchRecording(b)
 	c0 := rec.Channel(signal.ChannelF7T3)
@@ -103,14 +106,49 @@ func BenchmarkStreamerPush(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	pos := 2048
+	pos, windows := 2048, 0
 	for i := 0; i < b.N; i++ {
-		if _, _, err := st.Push(c0[pos], c1[pos]); err != nil {
+		_, ready, err := st.Push(c0[pos], c1[pos])
+		if err != nil {
 			b.Fatal(err)
+		}
+		if ready {
+			windows++
 		}
 		pos++
 		if pos == len(c0) {
 			pos = len(c0) / 2
+		}
+	}
+	if windows > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(windows), "ns/window")
+	}
+}
+
+// BenchmarkFeatures10Into computes the 10 features of one aligned
+// window pair per iteration — the row computation of one emitted
+// window, without the pushes.
+func BenchmarkFeatures10Into(b *testing.B) {
+	rec := benchRecording(b)
+	cfg := DefaultConfig()
+	ws, err := NewWorkspace(rec.SampleRate, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w0, err := cfg.Window.Window(rec.Channel(signal.ChannelF7T3), 20, rec.SampleRate)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w1, err := cfg.Window.Window(rec.Channel(signal.ChannelF8T4), 20, rec.SampleRate)
+	if err != nil {
+		b.Fatal(err)
+	}
+	row := make([]float64, 0, 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if row, err = ws.Features10Into(row[:0], w0, w1); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

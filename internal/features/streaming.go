@@ -12,18 +12,20 @@ import (
 // feed ring buffers of one analysis window (4 s); every hop (1 s) a
 // feature row is emitted. Feeding an entire recording through a Streamer
 // yields exactly the matrix Extract10 computes in batch.
+//
+// Each ring is two windows long and every sample is written twice, at
+// pos and pos+window, so the current window is always the contiguous
+// slice starting at the oldest sample and emission copies nothing.
 type Streamer struct {
 	cfg        Config
 	fs         float64
 	winSamples int
 	hopSamples int
-	buf0, buf1 []float64 // ring buffers, winSamples long
-	pos        int       // next write slot
+	buf0, buf1 []float64 // doubled rings, 2·winSamples long
+	pos        int       // next write slot, in [0, winSamples)
 	filled     int       // samples buffered so far (caps at winSamples)
 	sinceEmit  int       // samples since the last emitted row
 	rows       int       // rows emitted
-	scratch0   []float64
-	scratch1   []float64
 	ws         *Workspace
 	row        []float64 // reused emission buffer, 10 wide
 }
@@ -50,10 +52,8 @@ func NewStreamer(fs float64, cfg Config) (*Streamer, error) {
 		fs:         fs,
 		winSamples: win,
 		hopSamples: hop,
-		buf0:       make([]float64, win),
-		buf1:       make([]float64, win),
-		scratch0:   make([]float64, win),
-		scratch1:   make([]float64, win),
+		buf0:       make([]float64, 2*win),
+		buf1:       make([]float64, 2*win),
 		ws:         ws,
 		row:        make([]float64, 0, 10),
 	}, nil
@@ -77,12 +77,18 @@ func (s *Streamer) NumFeatures() int { return len(PaperFeatureNames()) }
 //
 //selflearn:hotpath
 func (s *Streamer) Push(v0, v1 float64) (row []float64, ready bool, err error) {
+	win := s.winSamples
 	s.buf0[s.pos] = v0
+	s.buf0[s.pos+win] = v0
 	s.buf1[s.pos] = v1
-	s.pos = (s.pos + 1) % s.winSamples
-	if s.filled < s.winSamples {
+	s.buf1[s.pos+win] = v1
+	s.pos++
+	if s.pos == win {
+		s.pos = 0
+	}
+	if s.filled < win {
 		s.filled++
-		if s.filled == s.winSamples {
+		if s.filled == win {
 			// First complete window.
 			return s.emit()
 		}
@@ -95,15 +101,12 @@ func (s *Streamer) Push(v0, v1 float64) (row []float64, ready bool, err error) {
 	return nil, false, nil
 }
 
-// emit linearizes the rings into scratch buffers and computes the row
-// into the reusable emission buffer.
+// emit computes the row of the current window into the reusable
+// emission buffer. The oldest sample sits at s.pos, so the window is
+// the contiguous view [pos, pos+win) of each doubled ring.
 func (s *Streamer) emit() ([]float64, bool, error) {
-	// Oldest sample sits at s.pos.
-	n := copy(s.scratch0, s.buf0[s.pos:])
-	copy(s.scratch0[n:], s.buf0[:s.pos])
-	n = copy(s.scratch1, s.buf1[s.pos:])
-	copy(s.scratch1[n:], s.buf1[:s.pos])
-	row, err := s.ws.Features10Into(s.row[:0], s.scratch0, s.scratch1)
+	lo, hi := s.pos, s.pos+s.winSamples
+	row, err := s.ws.Features10Into(s.row[:0], s.buf0[lo:hi:hi], s.buf1[lo:hi:hi])
 	if err != nil {
 		return nil, false, err
 	}

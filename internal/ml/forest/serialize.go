@@ -3,6 +3,7 @@ package forest
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 
@@ -36,6 +37,17 @@ func (f *Forest) UnmarshalJSON(data []byte) error {
 	}
 	if len(dto.Trees) == 0 {
 		return errors.New("forest: no trees")
+	}
+	// Each tree already validated its split features against its own
+	// num_features; the forest scores one row through every tree, so
+	// the trees must also agree on that width.
+	for i, t := range dto.Trees {
+		if t == nil {
+			return fmt.Errorf("forest: tree %d is null", i)
+		}
+		if nf, want := t.NumFeatures(), dto.Trees[0].NumFeatures(); nf != want {
+			return fmt.Errorf("forest: tree %d is %d features wide, tree 0 is %d", i, nf, want)
+		}
 	}
 	f.trees = dto.Trees
 	f.oob = dto.OOBError

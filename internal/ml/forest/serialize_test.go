@@ -2,6 +2,7 @@ package forest
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -45,6 +46,37 @@ func TestForestLoadRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := Load(strings.NewReader(`garbage`)); err == nil {
 		t.Error("garbage should fail")
+	}
+}
+
+// TestForestLoadRejectsInconsistentWidths covers checkpoints whose
+// trees are each well-formed but cannot score one row together: trees
+// of different widths, a split past the declared width, and a null
+// tree. Both loaders must refuse them rather than build a forest that
+// indexes past a row later.
+func TestForestLoadRejectsInconsistentWidths(t *testing.T) {
+	leaf := `{"leaf":true,"prob":0.5}`
+	stump := func(nf, feature int) string {
+		return fmt.Sprintf(`{"num_features":%d,"nodes":[{"feature":%d,"threshold":1,"left":1,"right":2},%s,%s]}`, nf, feature, leaf, leaf)
+	}
+	for name, js := range map[string]string{
+		"mixed widths":     `{"trees":[` + stump(10, 3) + `,` + stump(40, 35) + `]}`,
+		"split past width": `{"trees":[` + stump(10, 35) + `]}`,
+		"null tree":        `{"trees":[` + stump(10, 3) + `,null]}`,
+	} {
+		if _, err := Load(strings.NewReader(js)); err == nil {
+			t.Errorf("%s: Load accepted %s", name, js)
+		}
+		if _, err := LoadFlat(strings.NewReader(js)); err == nil {
+			t.Errorf("%s: LoadFlat accepted %s", name, js)
+		}
+	}
+	ff, err := LoadFlat(strings.NewReader(`{"trees":[` + stump(40, 35) + `,` + stump(40, 2) + `]}`))
+	if err != nil {
+		t.Fatalf("uniform 40-wide forest rejected: %v", err)
+	}
+	if ff.NumFeatures() != 40 {
+		t.Fatalf("NumFeatures %d, want 40", ff.NumFeatures())
 	}
 }
 

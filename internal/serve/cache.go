@@ -2,6 +2,7 @@ package serve
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
 
 	"selflearn/internal/ml/forest"
@@ -109,14 +110,19 @@ type modelCache struct {
 	// onErr observes store Load/Save failures (the serving path treats
 	// them as misses rather than stalling on persistence).
 	onErr func(error)
+	// width is the feature-row width every served model must take. A
+	// well-formed checkpoint of another width would index past (or
+	// short of) the served rows, so installs and store loads refuse it.
+	width int
 }
 
-func newModelCache(capacity int, store ModelStore, onErr func(error)) *modelCache {
+func newModelCache(capacity int, store ModelStore, width int, onErr func(error)) *modelCache {
 	return &modelCache{
 		t:        newLRU[modelEntry](capacity, nil),
 		versions: make(map[string]uint64),
 		store:    AsVersioned(store),
 		onErr:    onErr,
+		width:    width,
 	}
 }
 
@@ -141,6 +147,9 @@ func (m *modelCache) GetVersioned(patient string) (*forest.FlatForest, uint64) {
 		return nil, 0
 	}
 	f, v, err := m.store.LoadVersion(patient)
+	if err == nil && f != nil && f.NumFeatures() != m.width {
+		err = fmt.Errorf("serve: model store: checkpoint for %q is %d features wide, want %d", patient, f.NumFeatures(), m.width)
+	}
 	if err != nil {
 		if m.onErr != nil {
 			m.onErr(err)
@@ -236,9 +245,10 @@ func (m *modelCache) Publish(patient string, f *forest.FlatForest) uint64 {
 // pushed by a peer shard, or a checkpoint transferred by a router
 // during failover. Only a version strictly newer than everything seen
 // (in cache, table, or store) installs; anything else is a stale
-// duplicate and reports false.
+// duplicate and reports false. A model of the wrong width is refused
+// too.
 func (m *modelCache) Install(patient string, f *forest.FlatForest, version uint64) bool {
-	if f == nil || version == 0 {
+	if f == nil || version == 0 || f.NumFeatures() != m.width {
 		return false
 	}
 	cur := m.currentVersion(patient)

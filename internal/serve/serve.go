@@ -289,7 +289,7 @@ func New(cfg Config, opts ...Option) (*Server, error) {
 	s := &Server{cfg: cfg, admission: so.admission, prefilter: so.prefilter, start: time.Now()}
 	s.lastSnap = s.start
 	s.hub = newEventHub(so.eventBuffer, so.sink)
-	s.cache = newModelCache(cfg.ModelCacheSize, so.store, func(error) { s.storeErrors.Add(1) })
+	s.cache = newModelCache(cfg.ModelCacheSize, so.store, len(features.PaperFeatureNames()), func(error) { s.storeErrors.Add(1) })
 	s.learner = newLearner(s, cfg.Learners, cfg.LearnerQueue)
 	s.transport = newLocalTransport(s, historyRows)
 	return s, nil
@@ -441,7 +441,8 @@ func (s *Server) ModelVersioned(patientID string) (*forest.FlatForest, uint64) {
 // everything this server has seen installs (so replays and replica
 // ping-pong are harmless); an install is checkpointed to the store,
 // announced via EventModelUpdated, and picked up by any live session on
-// its next batch through the per-batch cache reconcile. Returns whether
+// its next batch through the per-batch cache reconcile. A model whose
+// width differs from the 10-feature bank is refused. Returns whether
 // the install took effect.
 func (s *Server) InstallModel(patientID string, f *forest.FlatForest, version uint64) bool {
 	if patientID == "" || f == nil || version == 0 {

@@ -327,7 +327,7 @@ func TestPublishContinuesPersistedVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc := newModelCache(1, fs, func(err error) { t.Fatalf("store error: %v", err) })
+	mc := newModelCache(1, fs, 2, func(err error) { t.Fatalf("store error: %v", err) })
 	f := tinyForest(t, 1)
 	if v := mc.Publish("p1", f); v != 1 {
 		t.Fatalf("first publish = v%d, want 1", v)
@@ -346,7 +346,7 @@ func TestPublishContinuesPersistedVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc2 := newModelCache(4, fs2, func(err error) { t.Fatalf("store error: %v", err) })
+	mc2 := newModelCache(4, fs2, 2, func(err error) { t.Fatalf("store error: %v", err) })
 	if _, v := mc2.GetVersioned("p1"); v != 3 {
 		t.Fatalf("version after restart = %d, want 3", v)
 	}
@@ -384,7 +384,7 @@ func TestCorruptCheckpointKeepsVersionSequence(t *testing.T) {
 	// must salvage the version while quarantining the model, so the next
 	// publish continues the sequence.
 	var storeErrs int
-	mc := newModelCache(4, fs, func(error) { storeErrs++ })
+	mc := newModelCache(4, fs, 2, func(error) { storeErrs++ })
 	if got := mc.Publish("p", tinyForest(t, 2)); got != 6 {
 		t.Fatalf("publish after corruption = v%d, want 6 (sequence must not regress)", got)
 	}
@@ -443,7 +443,7 @@ func TestServerServesPatientDespiteCorruptCheckpoint(t *testing.T) {
 }
 
 func TestMemoryStoreBehindCacheSurvivesEviction(t *testing.T) {
-	mc := newModelCache(1, NewMemoryStore(), func(err error) { t.Fatalf("store error: %v", err) })
+	mc := newModelCache(1, NewMemoryStore(), 2, func(err error) { t.Fatalf("store error: %v", err) })
 	f1, f2 := tinyForest(t, 1), tinyForest(t, 2)
 	mc.Publish("p1", f1)
 	mc.Publish("p2", f2) // evicts p1 from the one-slot LRU
