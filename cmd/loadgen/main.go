@@ -31,7 +31,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -252,61 +251,13 @@ func admissionPolicy(name string) serve.AdmissionPolicy {
 	}
 }
 
-// routerBackend drives a shardd fleet through a cluster.Router. The
-// engine only retries serve.ErrBackpressure, so the handle absorbs the
-// transport-level retryables (a shard failing over) with its own
-// bounded retry.
+// routerBackend drives a shardd fleet through a cluster.Router. Its
+// streams carry the prefilter verbs too, and the engine retries their
+// transient failover errors.
 type routerBackend struct{ r *cluster.Router }
 
-func (b routerBackend) Open(patient string) (scenario.Handle, error) {
-	st, err := b.r.Open(patient)
-	if err != nil {
-		return nil, err
-	}
-	return clusterHandle{st}, nil
-}
-
-func (b routerBackend) Snapshot() serve.Stats { return b.r.Snapshot() }
-
-type clusterHandle struct{ st *cluster.Stream }
-
-func (h clusterHandle) Push(c0, c1 []float64) error {
-	return retryTransient(func() error { return h.st.Push(c0, c1) })
-}
-func (h clusterHandle) Confirm() error {
-	return retryTransient(func() error { return h.st.Confirm() })
-}
-
-// The PrefilterHandle extension: the stage-1 gate runs in this process
-// ("on device"), and these carry its declaration, digests and audit
-// samples to the shard over the v5 wire frames.
-func (h clusterHandle) DeclarePrefilter(cfg serve.PrefilterConfig) error {
-	return retryTransient(func() error { return h.st.DeclarePrefilter(cfg) })
-}
-func (h clusterHandle) PushDigest(d serve.Digest) error {
-	return retryTransient(func() error { return h.st.PushDigest(d) })
-}
-func (h clusterHandle) PushAudit(c0, c1 []float64) error {
-	return retryTransient(func() error { return h.st.PushAudit(c0, c1) })
-}
-func (h clusterHandle) Close() { h.st.Close() }
-
-// retryTransient retries fn while it fails with a shard outage for up
-// to 30 s, passing every other outcome — including
-// serve.ErrBackpressure, which the engine owns — straight through.
-func retryTransient(fn func() error) error {
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		err := fn()
-		if !errors.Is(err, cluster.ErrShardDown) && !errors.Is(err, cluster.ErrNoShards) {
-			return err
-		}
-		if time.Now().After(deadline) {
-			return err
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
+func (b routerBackend) Open(patient string) (scenario.Handle, error) { return b.r.Open(patient) }
+func (b routerBackend) Snapshot() serve.Stats                        { return b.r.Snapshot() }
 
 // describe summarizes a matrix spec's adversarial traits for -list.
 func describe(s scenario.Spec) string {

@@ -1,7 +1,7 @@
 // Command shardd is a standalone shard worker: one serve.Server —
 // sessions, model cache, background learners, the whole self-learning
 // loop — wrapped in the cluster wire protocol and exposed over TCP.
-// A serving front end (cmd/serve -cluster host:port,...) routes
+// A serving front end (cmd/loadgen -cluster host:port,...) routes
 // patients across N shardd processes by rendezvous hashing; each shardd
 // owns its patients' sessions and streams alarm/retrain/eviction/shed
 // events back to every connected client.

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"selflearn/internal/cluster"
 	"selflearn/internal/eval"
 	"selflearn/internal/rt"
 	"selflearn/internal/serve"
@@ -24,10 +26,9 @@ type Backend interface {
 	Snapshot() serve.Stats
 }
 
-// Handle is one patient's stream handle. Push may return
-// serve.ErrBackpressure, which the engine retries; any other error
-// aborts the scenario. Remote implementations are expected to absorb
-// their transient transport errors (failover in flight) internally.
+// Handle is one patient's stream handle. serve.Stream and
+// cluster.Stream both satisfy it. The engine retries backpressure and
+// shard outages (see retry); any other error aborts the scenario.
 type Handle interface {
 	Push(c0, c1 []float64) error
 	Confirm() error
@@ -103,6 +104,21 @@ func (c *Collector) AlarmTimes(patient string) []float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]float64(nil), c.alarms[patient]...)
+}
+
+// Trained returns the number of patients observed reaching model
+// version 1 or later — retrain evidence that survives the death of the
+// shard that did the training.
+func (c *Collector) Trained() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var n uint64
+	for _, v := range c.versions {
+		if v >= 1 {
+			n++
+		}
+	}
+	return n
 }
 
 // TotalAlarms returns the number of alarm events observed.
@@ -409,7 +425,7 @@ func (w *Workload) runPatient(b Backend, c *Collector, ps PatientStream, fs int,
 		// Declared exactly once: a re-declaration after churn would reset
 		// the shard's audit state (mirror baseline, disagreement count)
 		// mid-run, while the server-side session survives reopens.
-		if err := declareRetry(pf, plan.decl); err != nil {
+		if err := retry(func() error { return pf.DeclarePrefilter(plan.decl) }); err != nil {
 			return fmt.Errorf("scenario: %s declare: %w", ps.ID, err)
 		}
 		meter.declare(ps.ID, plan.decl)
@@ -447,7 +463,7 @@ func (w *Workload) runPatient(b Backend, c *Collector, ps PatientStream, fs int,
 		lo := sec * fs
 		c0b, c1b := ps.C0[lo:lo+fs], ps.C1[lo:lo+fs]
 		if plan == nil {
-			if err := pushRetry(h, c0b, c1b); err != nil {
+			if err := retry(func() error { return h.Push(c0b, c1b) }); err != nil {
 				return fmt.Errorf("scenario: %s second %d: %w", ps.ID, sec, err)
 			}
 			meter.push(ps.ID, c0b, c1b)
@@ -455,7 +471,7 @@ func (w *Workload) runPatient(b Backend, c *Collector, ps PatientStream, fs int,
 			return err
 		}
 		if sec == confirmAt {
-			if err := confirmRetry(h); err != nil {
+			if err := retry(h.Confirm); err != nil {
 				return fmt.Errorf("scenario: %s confirm: %w", ps.ID, err)
 			}
 			meter.confirm(ps.ID)
@@ -477,7 +493,7 @@ func (w *Workload) runPatient(b Backend, c *Collector, ps PatientStream, fs int,
 		}
 	}
 	if plan != nil && plan.final.Windows > 0 {
-		if err := digestRetry(pf, plan.final); err != nil {
+		if err := retry(func() error { return pf.PushDigest(plan.final) }); err != nil {
 			return fmt.Errorf("scenario: %s final digest: %w", ps.ID, err)
 		}
 		meter.digest(ps.ID, plan.final)
@@ -491,19 +507,19 @@ func (w *Workload) runPatient(b Backend, c *Collector, ps PatientStream, fs int,
 // an audit sample, or not at all.
 func pushGated(pf PrefilterHandle, id string, sec int, c0, c1 []float64, a serve.PrefilterAction, meter *uplinkMeter) error {
 	if a.Flush.Windows > 0 {
-		if err := digestRetry(pf, a.Flush); err != nil {
+		if err := retry(func() error { return pf.PushDigest(a.Flush) }); err != nil {
 			return fmt.Errorf("scenario: %s digest at %d: %w", id, sec, err)
 		}
 		meter.digest(id, a.Flush)
 	}
 	switch {
 	case a.Ship:
-		if err := pushRetry(pf, c0, c1); err != nil {
+		if err := retry(func() error { return pf.Push(c0, c1) }); err != nil {
 			return fmt.Errorf("scenario: %s second %d: %w", id, sec, err)
 		}
 		meter.push(id, c0, c1)
 	case a.Audit:
-		if err := auditRetry(pf, c0, c1); err != nil {
+		if err := retry(func() error { return pf.PushAudit(c0, c1) }); err != nil {
 			return fmt.Errorf("scenario: %s audit at %d: %w", id, sec, err)
 		}
 		meter.audit(id, c0, c1)
@@ -519,53 +535,30 @@ func wavePhase(id string, period float64) float64 {
 	return float64(h.Sum64() % uint64(period))
 }
 
-func pushRetry(h Handle, c0, c1 []float64) error {
+// retry runs op until it stops failing transiently: admission
+// backpressure (serve.ErrBackpressure) is retried without limit at
+// 1 ms — the wearable gateway's buffer-and-resend policy — and a shard
+// outage (cluster.ErrShardDown, cluster.ErrNoShards: failover in
+// flight) at 50 ms for up to 30 s. Any other outcome returns at once.
+func retry(op func() error) error {
+	var deadline time.Time
 	for {
-		err := h.Push(c0, c1)
-		if err != serve.ErrBackpressure {
+		err := op()
+		switch {
+		case errors.Is(err, serve.ErrBackpressure):
+			deadline = time.Time{}
+			time.Sleep(time.Millisecond)
+		case errors.Is(err, cluster.ErrShardDown) || errors.Is(err, cluster.ErrNoShards):
+			now := time.Now() //selflearn:wallclock-ok operational retry deadline, not replay state
+			if deadline.IsZero() {
+				deadline = now.Add(30 * time.Second)
+			} else if now.After(deadline) {
+				return err
+			}
+			time.Sleep(50 * time.Millisecond)
+		default:
 			return err
 		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func confirmRetry(h Handle) error {
-	for {
-		err := h.Confirm()
-		if err != serve.ErrBackpressure {
-			return err
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func declareRetry(h PrefilterHandle, cfg serve.PrefilterConfig) error {
-	for {
-		err := h.DeclarePrefilter(cfg)
-		if err != serve.ErrBackpressure {
-			return err
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func digestRetry(h PrefilterHandle, d serve.Digest) error {
-	for {
-		err := h.PushDigest(d)
-		if err != serve.ErrBackpressure {
-			return err
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func auditRetry(h PrefilterHandle, c0, c1 []float64) error {
-	for {
-		err := h.PushAudit(c0, c1)
-		if err != serve.ErrBackpressure {
-			return err
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -580,6 +573,13 @@ func awaitDrain(b Backend, base serve.Stats, c *Collector, exact bool, expWindow
 	stable := 0
 	for {
 		st := statsDelta(b.Snapshot(), base)
+		// A dead shard takes its counters with it (a fleet snapshot sums
+		// the reachable shards), so judge retraining by the best
+		// surviving evidence: the counter or the patients the collector
+		// saw reach a trained model version.
+		if n := c.Trained(); n > st.Retrains {
+			st.Retrains = n
+		}
 		if st.RetrainErrors > 0 || st.ConfirmsDropped > 0 {
 			return st, fmt.Errorf("scenario: retrain failed or confirm lost: %d errors, %d lost", st.RetrainErrors, st.ConfirmsDropped)
 		}
@@ -682,28 +682,36 @@ func (b localBackend) Snapshot() serve.Stats         { return b.srv.Snapshot() }
 
 // statsDelta subtracts a baseline snapshot's cumulative counters so
 // scenario accounting holds against fleets that served earlier runs.
-// Gauges (Sessions, StreamsOpen, ModelsCached, QueueDepth) pass
-// through untouched.
+// Each difference clamps at zero: a shard lost since the baseline
+// takes its counters out of the later snapshot. Gauges (Sessions,
+// StreamsOpen, ModelsCached, QueueDepth) pass through untouched.
 func statsDelta(st, base serve.Stats) serve.Stats {
-	st.SessionsCreated -= base.SessionsCreated
-	st.SessionsEvicted -= base.SessionsEvicted
-	st.Batches -= base.Batches
-	st.BatchesDropped -= base.BatchesDropped
-	st.BatchesShed -= base.BatchesShed
-	st.QualityRejected -= base.QualityRejected
-	st.Windows -= base.Windows
-	st.Alarms -= base.Alarms
-	st.Confirms -= base.Confirms
-	st.ConfirmsRejected -= base.ConfirmsRejected
-	st.ConfirmsDropped -= base.ConfirmsDropped
-	st.Retrains -= base.Retrains
-	st.RetrainErrors -= base.RetrainErrors
-	st.StreamErrors -= base.StreamErrors
-	st.StoreErrors -= base.StoreErrors
-	st.WindowsSuppressed -= base.WindowsSuppressed
-	st.AuditSamples -= base.AuditSamples
-	st.AuditDisagreements -= base.AuditDisagreements
-	st.PrefilterDrift -= base.PrefilterDrift
-	st.EventsDropped -= base.EventsDropped
+	st.SessionsCreated = clampSub(st.SessionsCreated, base.SessionsCreated)
+	st.SessionsEvicted = clampSub(st.SessionsEvicted, base.SessionsEvicted)
+	st.Batches = clampSub(st.Batches, base.Batches)
+	st.BatchesDropped = clampSub(st.BatchesDropped, base.BatchesDropped)
+	st.BatchesShed = clampSub(st.BatchesShed, base.BatchesShed)
+	st.QualityRejected = clampSub(st.QualityRejected, base.QualityRejected)
+	st.Windows = clampSub(st.Windows, base.Windows)
+	st.Alarms = clampSub(st.Alarms, base.Alarms)
+	st.Confirms = clampSub(st.Confirms, base.Confirms)
+	st.ConfirmsRejected = clampSub(st.ConfirmsRejected, base.ConfirmsRejected)
+	st.ConfirmsDropped = clampSub(st.ConfirmsDropped, base.ConfirmsDropped)
+	st.Retrains = clampSub(st.Retrains, base.Retrains)
+	st.RetrainErrors = clampSub(st.RetrainErrors, base.RetrainErrors)
+	st.StreamErrors = clampSub(st.StreamErrors, base.StreamErrors)
+	st.StoreErrors = clampSub(st.StoreErrors, base.StoreErrors)
+	st.WindowsSuppressed = clampSub(st.WindowsSuppressed, base.WindowsSuppressed)
+	st.AuditSamples = clampSub(st.AuditSamples, base.AuditSamples)
+	st.AuditDisagreements = clampSub(st.AuditDisagreements, base.AuditDisagreements)
+	st.PrefilterDrift = clampSub(st.PrefilterDrift, base.PrefilterDrift)
+	st.EventsDropped = clampSub(st.EventsDropped, base.EventsDropped)
 	return st
+}
+
+func clampSub(cur, base uint64) uint64 {
+	if cur < base {
+		return 0
+	}
+	return cur - base
 }

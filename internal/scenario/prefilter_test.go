@@ -129,13 +129,13 @@ func TestPrefilterWitness(t *testing.T) {
 	for sec := range plan.ship {
 		if plan.ship[sec] {
 			lo := sec * fs
-			if err := pushRetry(h, ps.C0[lo:lo+fs], ps.C1[lo:lo+fs]); err != nil {
+			if err := retry(func() error { return h.Push(ps.C0[lo:lo+fs], ps.C1[lo:lo+fs]) }); err != nil {
 				t.Fatalf("reference push at %d: %v", sec, err)
 			}
 			shipped++
 		}
 		if sec == confirmAt {
-			if err := confirmRetry(h); err != nil {
+			if err := retry(h.Confirm); err != nil {
 				t.Fatalf("reference confirm: %v", err)
 			}
 			if err := cRef.WaitVersion(ps.ID, 1, 90*time.Second); err != nil {

@@ -1,6 +1,6 @@
 // Package wire is the length-prefixed binary codec the cluster
 // transport speaks between a serving front end (internal/cluster.Router
-// inside cmd/serve -cluster) and shardd worker processes (cmd/shardd).
+// inside cmd/loadgen -cluster) and shardd worker processes (cmd/shardd).
 //
 // Every frame is a little-endian uint32 body length followed by the
 // body: one kind byte and a kind-specific payload. Payload scalars are
